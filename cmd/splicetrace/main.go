@@ -21,11 +21,10 @@
 //	    `make metrics-smoke`).
 //
 //	splicetrace timeseries DIR [-window D] [-peers N] [-csv] [-o FILE]
-//	    Rebuild the windowed virtual-time telemetry (buffer occupancy,
+//	    Build the windowed virtual-time telemetry (buffer occupancy,
 //	    in-flight flows, stalled peers, pool targets, completions per
 //	    window) from a trace directory, as a summary report or CSV. The
-//	    rebuild is bit-identical to what an in-process TimeSeries
-//	    recorded during the same runs.
+//	    trace is the only source of these series.
 //
 // Reports are deterministic: the same trace directory yields
 // byte-identical output across runs, machines, and the -workers value

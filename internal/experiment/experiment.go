@@ -64,14 +64,6 @@ type Params struct {
 	// shared accumulation safe — and, because histogram totals are exact
 	// integer sums, deterministic — under the parallel runner.
 	Metrics *trace.Registry
-	// Series, when non-nil, attaches this windowed time-series recorder
-	// to every cell's swarm: per-window buffer occupancy, in-flight
-	// flows, stalled peers, pool targets, and segment completions
-	// accumulate across the sweep in virtual time. Observational only,
-	// like Metrics: figure values are bit-identical with it set or nil
-	// (TestTimeSeriesInert), and its commutative integer windows make the
-	// shared accumulation deterministic under the parallel runner.
-	Series *trace.TimeSeries
 }
 
 // DefaultParams mirrors the paper's Section V setup.

@@ -3,14 +3,18 @@ package experiment
 import (
 	"bytes"
 	"testing"
+	"time"
 
+	"p2psplice/internal/trace"
 	"p2psplice/internal/tracereport"
 )
 
 // renderTraceReport runs the churn figure with the given worker count,
 // analyzes its trace directory, and returns every serialized form of the
-// report (JSON, table, stall CDF).
-func renderTraceReport(t *testing.T, workers int) (json, table, cdf string) {
+// report (JSON, table, stall CDF) plus the trace-derived windowed time
+// series as CSV (splicetrace timeseries -csv). Every emulation series
+// must be registered, and all but the stall series must be observed.
+func renderTraceReport(t *testing.T, workers int) (json, table, cdf, tsCSV string) {
 	t.Helper()
 	p := tracedParams()
 	p.TraceDir = t.TempDir()
@@ -22,7 +26,7 @@ func renderTraceReport(t *testing.T, workers int) (json, table, cdf string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var j, tb, c bytes.Buffer
+	var j, tb, c, ts bytes.Buffer
 	if err := tracereport.WriteJSON(&j, a.Report); err != nil {
 		t.Fatal(err)
 	}
@@ -32,19 +36,50 @@ func renderTraceReport(t *testing.T, workers int) (json, table, cdf string) {
 	if err := tracereport.WriteCDF(&c, "stall", a.StallUS); err != nil {
 		t.Fatal(err)
 	}
-	return j.String(), tb.String(), c.String()
+	snap, err := tracereport.BuildTimeSeriesDir(p.TraceDir, tracereport.TimeSeriesOptions{
+		Window:     time.Second,
+		MaxWindows: 512,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteCSV(&ts); err != nil {
+		t.Fatal(err)
+	}
+
+	byName := map[string]trace.TSSeriesStat{}
+	for _, s := range snap.Series {
+		byName[s.Name] = s
+	}
+	for _, name := range []string{
+		trace.TSBufferOccupancyUS,
+		trace.TSPoolTargetK,
+		trace.TSInflightFlows,
+		trace.TSSegmentsCompleted,
+	} {
+		if s, ok := byName[name]; !ok || s.Total() == 0 {
+			t.Errorf("series %s has no observations across the sweep (present=%v)", name, ok)
+		}
+	}
+	// Stall series exist even if a sweep happens to stall rarely.
+	for _, name := range []string{trace.TSStalledPeers, trace.TSStallFractionPermille} {
+		if _, ok := byName[name]; !ok {
+			t.Errorf("series %s not registered", name)
+		}
+	}
+	return j.String(), tb.String(), c.String(), ts.String()
 }
 
 // The trace-dir report (cmd/experiment's report.json, splicetrace's
-// output) must be byte-identical across repeated runs and across
-// -workers values, and the churn figure's stalls must be 100% attributed.
+// output) and the time series derived from the same traces must be
+// byte-identical across repeated runs and across -workers values.
 func TestTraceReportIdenticalAcrossWorkers(t *testing.T) {
-	jSerial, tSerial, cSerial := renderTraceReport(t, 1)
-	jSerial2, tSerial2, cSerial2 := renderTraceReport(t, 1)
-	if jSerial != jSerial2 || tSerial != tSerial2 || cSerial != cSerial2 {
+	jSerial, tSerial, cSerial, sSerial := renderTraceReport(t, 1)
+	jSerial2, tSerial2, cSerial2, sSerial2 := renderTraceReport(t, 1)
+	if jSerial != jSerial2 || tSerial != tSerial2 || cSerial != cSerial2 || sSerial != sSerial2 {
 		t.Fatal("serial trace report not reproducible across runs")
 	}
-	jPar, tPar, cPar := renderTraceReport(t, 4)
+	jPar, tPar, cPar, sPar := renderTraceReport(t, 4)
 	if jSerial != jPar {
 		t.Errorf("report.json differs between workers=1 and workers=4:\n--- serial ---\n%s\n--- parallel ---\n%s", jSerial, jPar)
 	}
@@ -53,6 +88,9 @@ func TestTraceReportIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if cSerial != cPar {
 		t.Error("stall CDF differs between workers=1 and workers=4")
+	}
+	if sSerial != sPar {
+		t.Error("time-series CSV differs between workers=1 and workers=4")
 	}
 }
 

@@ -69,10 +69,6 @@ func (p Params) runCell(c cell) (cellOut, error) {
 		cfg.Metrics = p.Metrics
 		cfg.MetricsScheme = schemeFromLabel(c.label)
 	}
-	// The shared TimeSeries accumulates across every cell; its atomic
-	// commutative windows keep the aggregate deterministic under the
-	// parallel runner (TestTimeSeriesIdenticalAcrossWorkers).
-	cfg.Series = p.Series
 	var buf *trace.Buffer
 	if p.TraceDir != "" {
 		buf = trace.NewBuffer()

@@ -9,8 +9,8 @@ import (
 const allocEpsilon = 1e-6
 
 // AllocStats counts reallocation work. The swarm-scale benchmarks report
-// these alongside wall-clock rates so the full-vs-incremental ratio is
-// visible in BENCH_*.json artifacts.
+// these alongside wall-clock rates, as deterministic counts of the work
+// behind each second.
 type AllocStats struct {
 	// Reallocs is the number of reallocation passes (each flow event that
 	// changes the flow set, a cap, or a link triggers exactly one).
@@ -36,8 +36,7 @@ func (n *Network) AllocStats() AllocStats { return n.stats }
 // reallocator (default) and the full per-event recompute. The full mode
 // is the test oracle: the differential and fuzz tests drive paired
 // networks through identical event scripts and assert every flow rate is
-// bit-identical between the two modes. It is also the benchmark baseline
-// the BENCH_*.json full-vs-incremental ratio is measured against.
+// bit-identical between the two modes.
 func (n *Network) ForceFullReallocation(on bool) { n.forceFull = on }
 
 // compBound delimits one connected component inside the region scratch

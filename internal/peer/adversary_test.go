@@ -465,6 +465,12 @@ func TestDuplicatePieceDeliveryIsIdempotent(t *testing.T) {
 	if got := viewer.Stats().DownloadedBytes; got != total {
 		t.Fatalf("DownloadedBytes = %d, want exactly %d: duplicated blocks must not double-count", got, total)
 	}
+	// The seeder books a PIECE's bytes only after its second copy is
+	// written, so the viewer can complete before the last block is
+	// booked: wait for the ledger to settle before checking it.
+	for seeder.Stats().UploadedBytes < 2*total && ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
+	}
 	if got := seeder.Stats().UploadedBytes; got < 2*total {
 		t.Fatalf("seeder UploadedBytes = %d, want >= %d (every PIECE sent twice)", got, 2*total)
 	}

@@ -106,13 +106,13 @@ func TestViewerSurvivesMaliciousPeer(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	select {
-	case <-evil.served:
-	case <-ctx.Done():
-		t.Log("note: evil peer was never asked for a block (scheduler preferred the seeder)")
-	}
 	if err := viewer.WaitComplete(ctx); err != nil {
 		t.Fatalf("viewer failed to complete despite honest seeder: %v", err)
+	}
+	select {
+	case <-evil.served:
+	default:
+		t.Log("note: evil peer was never asked for a block (scheduler preferred the seeder)")
 	}
 	// Every stored segment must verify against the manifest — garbage from
 	// the malicious peer may have been received but never stored.

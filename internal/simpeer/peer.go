@@ -386,12 +386,6 @@ func (s *swarm) fill(p *peerState) {
 	if launched > 0 {
 		p.retryAttempt = 0
 	}
-	// Windowed telemetry mirrors the pool_fill event exactly (same site,
-	// same timestamp, same values) so the trace-derived time series is
-	// bit-identical to this in-process one.
-	s.ss.bufferedUS.Observe(now, buffered.Microseconds())
-	s.ss.poolTarget.Observe(now, int64(target))
-	s.ss.inflight.Observe(now, int64(len(p.inFlight)))
 	if s.cfg.Tracer.Enabled() {
 		flag := int64(0)
 		if blocked {
@@ -583,7 +577,6 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 	s.observeRepSuccess(src, f)
 	s.sm.segSeconds.ObserveDuration(f.Elapsed())
 	s.sm.segBytes.Observe(f.Size())
-	s.ss.segsDone.Inc(now)
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvSegComplete,
 			trace.Int64("bytes", f.Size()),

@@ -193,12 +193,6 @@ type SwarmConfig struct {
 	// scheme under test (e.g. "gop", "4s") so one registry can compare
 	// schemes. Empty omits the label.
 	MetricsScheme string
-	// Series optionally receives windowed virtual-time telemetry (buffer
-	// occupancy, in-flight flows, stalled peers, pool targets, segment
-	// completions per window — trace.TS* series). Like Tracer and Metrics
-	// it is a pure observer: the run is bit-identical with and without it
-	// (TestTimeSeriesInert). Nil disables.
-	Series *trace.TimeSeries
 	// ManifestBytes is the size of the swarm/clip metadata a joining peer
 	// fetches from the seeder before requesting segments (the paper: "each
 	// peer contacts the seeder and gets different information about the
@@ -296,8 +290,7 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 	eng := sim.New(cfg.Seed)
 	net := netem.New(eng, cfg.Net)
 	sw := &swarm{eng: eng, net: net, cfg: cfg, segs: segs,
-		sm: newSimMetrics(cfg.Metrics, cfg.MetricsScheme),
-		ss: newSimSeries(cfg.Series)}
+		sm: newSimMetrics(cfg.Metrics, cfg.MetricsScheme)}
 
 	if err := sw.setup(); err != nil {
 		return nil, err
@@ -333,12 +326,6 @@ type swarm struct {
 	// sm holds the cached histogram handles (all no-ops when
 	// cfg.Metrics is nil), so recording sites never branch.
 	sm simMetrics
-	// ss holds the cached windowed time-series handles (all no-ops when
-	// cfg.Series is nil); stalledNow is the running stalled-peer count
-	// its gauge samples. Both are observer-owned: nothing in scheduling
-	// reads them.
-	ss         simSeries
-	stalledNow int
 	// nodeToPeer attributes netem flow events to peer IDs; populated only
 	// when tracing.
 	nodeToPeer map[netem.NodeID]int
@@ -539,9 +526,9 @@ func (s *swarm) join(p *peerState) {
 		return
 	}
 	p.joined = s.eng.Now()
-	if s.cfg.Tracer.Enabled() || s.cfg.Metrics != nil || s.cfg.Series != nil {
-		// The observer feeds the trace stream, the QoE histograms, and the
-		// windowed time series; any consumer alone needs it attached.
+	if s.cfg.Tracer.Enabled() || s.cfg.Metrics != nil {
+		// The observer feeds the trace stream and the QoE histograms;
+		// either consumer alone needs it attached.
 		p.player.SetObserver(func(tr player.Transition) { s.onPlayerTransition(p, tr) })
 	}
 	if err := p.player.Start(s.eng.Now()); err != nil {

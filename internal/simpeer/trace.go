@@ -120,26 +120,18 @@ func (s *swarm) onPlayerTransition(p *peerState, tr player.Transition) {
 	case tr.To == player.StateStalled:
 		cause, inflight, frozen := s.classifyStall(p, tr.At)
 		p.openStallAt, p.openStallCause = tr.At, cause
-		s.stalledNow++
-		s.observeStalled(tr.At)
 		s.emitAt(tr.At, p.id, -1, trace.CatPlayer, trace.EvStallBegin)
 		s.emitAt(tr.At, p.id, -1, trace.CatPlayer, trace.EvStallCause,
 			trace.Str("cause", cause),
 			trace.Int64("inflight", int64(inflight)),
 			trace.Int64("frozen", int64(frozen)))
 	case tr.From == player.StateStalled && tr.To == player.StatePlaying:
-		s.stalledNow--
-		s.observeStalled(tr.At)
 		s.emitAt(tr.At, p.id, -1, trace.CatPlayer, trace.EvStallEnd)
 		if p.openStallCause != "" {
 			s.sm.stallFor(p.openStallCause).ObserveDuration(tr.At - p.openStallAt)
 			p.openStallCause = ""
 		}
 	case tr.To == player.StateFinished:
-		if tr.From == player.StateStalled {
-			s.stalledNow--
-			s.observeStalled(tr.At)
-		}
 		s.emitAt(tr.At, p.id, -1, trace.CatPlayer, trace.EvFinished)
 		if tr.From == player.StateStalled && p.openStallCause != "" {
 			// A run can finish straight out of a stall; close it so the

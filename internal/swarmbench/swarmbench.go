@@ -63,22 +63,28 @@ func newSwarmSeries(ts *trace.TimeSeries) swarmSeries {
 	}
 }
 
+// The fixed workload shape every run uses.
+const (
+	// clusterSize is the tracker-locality cluster size.
+	clusterSize = 40
+	// segmentsPerPeer is how many segments each leecher fetches.
+	segmentsPerPeer = 4
+	// poolSize caps concurrent fetches per cluster.
+	poolSize = 8
+	// tsMaxWindows bounds the windows per telemetry series.
+	tsMaxWindows = 1024
+)
+
 // Config parameterizes a swarm benchmark run.
 type Config struct {
 	// Peers is the total peer count across all shards.
 	Peers int
 	// Shards is the number of independent swarm shards. Each shard gets
 	// its own engine and network; 1 means one swarm-wide network (the
-	// configuration the full-vs-incremental ratio is measured on).
+	// configuration perfbench's netem-10k workload times).
 	Shards int
-	// ClusterSize is the tracker-locality cluster size. Default 40.
-	ClusterSize int
-	// SegmentsPerPeer is how many segments each leecher fetches. Default 4.
-	SegmentsPerPeer int
 	// SegmentBytes is the size of one fetched segment. Default 256 KiB.
 	SegmentBytes int64
-	// PoolSize caps concurrent fetches per cluster. Default 8.
-	PoolSize int
 	// Seed drives every random choice (bandwidth heterogeneity, source
 	// selection, fault placement). Same seed, same digest.
 	Seed int64
@@ -100,8 +106,6 @@ type Config struct {
 	// the recorder is a pure observer: the digest is bit-identical with
 	// and without it.
 	TimeSeriesWindow time.Duration
-	// TimeSeriesMaxWindows bounds the windows per series (default 1024).
-	TimeSeriesMaxWindows int
 
 	// TraceCapacity, when positive, attaches a bounded sampled event
 	// ring to every shard: completion events pass a pure hash sampler
@@ -118,17 +122,8 @@ func (c *Config) applyDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.ClusterSize <= 0 {
-		c.ClusterSize = 40
-	}
-	if c.SegmentsPerPeer <= 0 {
-		c.SegmentsPerPeer = 4
-	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 256 << 10
-	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 8
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -278,7 +273,7 @@ func runShard(cfg Config, shard int) (shardResult, error) {
 	if cfg.TimeSeriesWindow > 0 {
 		ts = trace.NewTimeSeries(trace.TimeSeriesConfig{
 			Window:     cfg.TimeSeriesWindow,
-			MaxWindows: cfg.TimeSeriesMaxWindows,
+			MaxWindows: tsMaxWindows,
 		})
 	}
 	ss := newSwarmSeries(ts)
@@ -328,20 +323,20 @@ func runShard(cfg Config, shard int) (shardResult, error) {
 	// Partition into clusters and queue every leecher's fetches in a
 	// shard-deterministic shuffled order.
 	var clusters []*cluster
-	for lo := 0; lo < peers; lo += cfg.ClusterSize {
-		hi := lo + cfg.ClusterSize
+	for lo := 0; lo < peers; lo += clusterSize {
+		hi := lo + clusterSize
 		if hi > peers {
 			hi = peers
 		}
 		if hi-lo < 2 {
 			break // a 1-peer tail cluster has nothing to exchange
 		}
-		c := &cluster{members: ids[lo:hi], owners: make([][]netem.NodeID, cfg.SegmentsPerPeer)}
+		c := &cluster{members: ids[lo:hi], owners: make([][]netem.NodeID, segmentsPerPeer)}
 		for seg := range c.owners {
 			c.owners[seg] = append(c.owners[seg], c.members[0])
 		}
 		for _, m := range c.members[1:] {
-			for seg := 0; seg < cfg.SegmentsPerPeer; seg++ {
+			for seg := 0; seg < segmentsPerPeer; seg++ {
 				c.pending = append(c.pending, fetch{peer: m, seg: seg})
 			}
 		}
@@ -361,7 +356,7 @@ func runShard(cfg Config, shard int) (shardResult, error) {
 	var shardErr error
 	var pump func(c *cluster)
 	pump = func(c *cluster) {
-		for c.active < cfg.PoolSize && len(c.pending) > 0 {
+		for c.active < poolSize && len(c.pending) > 0 {
 			fe := c.pending[0]
 			c.pending = c.pending[1:]
 			src := c.owners[fe.seg][rng.Intn(len(c.owners[fe.seg]))]

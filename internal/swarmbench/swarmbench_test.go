@@ -60,8 +60,8 @@ func TestDigestSensitivity(t *testing.T) {
 
 // TestFullOracleSameWorkload checks the forced-full baseline simulates
 // the identical workload: same digest as the incremental run, different
-// only in allocator statistics. This is what makes the benchmark's
-// full-vs-incremental ratio an apples-to-apples comparison.
+// only in allocator statistics. This is what makes the full recompute a
+// differential oracle for the incremental reallocator.
 func TestFullOracleSameWorkload(t *testing.T) {
 	inc, err := Run(Config{Peers: 400, Shards: 2, Seed: 7})
 	if err != nil {

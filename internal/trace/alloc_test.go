@@ -56,7 +56,6 @@ func TestZeroAllocTimeSeriesObserve(t *testing.T) {
 		c.Inc(3 * time.Second)
 		g.Observe(5*time.Second, 123)
 		h.Observe(7*time.Second, 456)
-		h.ObserveDuration(9*time.Second, 2*time.Millisecond)
 		noopC.Inc(0)
 		noopG.Observe(0, 1)
 		noopH.Observe(0, 1)

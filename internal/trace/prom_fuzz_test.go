@@ -3,13 +3,11 @@ package trace
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-// FuzzPromRoundTrip drives arbitrary metric values — counters, gauges,
-// histograms, and the time-series-derived p2p_ts_* gauges — through
-// WriteProm and back through ParsePromText, requiring every series to
-// be recovered exactly. This is the property behind the "one snapshot
+// FuzzPromRoundTrip drives arbitrary metric values — counters, gauges
+// and histograms — through WriteProm and back through ParsePromText,
+// requiring every series to be recovered exactly. This is the property behind the "one snapshot
 // path" contract: if the exposition writer and the strict mini-parser
 // ever disagree on formatting (escaping, label blocks, float renders),
 // the scrape smoke check would silently validate the wrong numbers.
@@ -39,21 +37,6 @@ func FuzzPromRoundTrip(f *testing.F) {
 			hSum += v
 		}
 
-		// Windowed telemetry published into the same registry, the way
-		// swarm harnesses surface it on /metrics.
-		ts := NewTimeSeries(TimeSeriesConfig{Window: time.Millisecond, MaxWindows: 32})
-		ctr := ts.Counter(TSSegmentsCompleted)
-		g := ts.Gauge(TSBufferOccupancyUS)
-		ph := ts.Histogram(TSPoolTargetK)
-		for _, b := range raw {
-			at := time.Duration(b) * 3170 * time.Microsecond // exercises the clamp path
-			ctr.Add(at, int64(b))
-			g.Observe(at, int64(b)-128)
-			ph.Observe(at, int64(b%9))
-		}
-		snap := ts.Snap()
-		snap.PublishGauges(reg)
-
 		var buf strings.Builder
 		if err := reg.WriteProm(&buf); err != nil {
 			t.Fatal(err)
@@ -78,10 +61,5 @@ func FuzzPromRoundTrip(f *testing.F) {
 		check("fz_bytes_count", float64(len(raw)))
 		check("fz_bytes_sum", float64(hSum))
 		check(`fz_bytes_bucket{le="+Inf"}`, float64(len(raw)))
-		for _, s := range snap.Series {
-			check(`p2p_ts_windows{series="`+s.Name+`"}`, float64(len(s.Windows)))
-			check(`p2p_ts_observations{series="`+s.Name+`"}`, float64(s.Total()))
-			check(`p2p_ts_clamped{series="`+s.Name+`"}`, float64(s.Clamped))
-		}
 	})
 }

@@ -57,10 +57,9 @@ const (
 	TSKindHist    = "hist"
 )
 
-// Canonical emulation series names, shared by the in-process recorder
-// (simpeer) and the trace-derived builder (tracereport): both sides must
-// produce the same series from the same run, and the coherence tests
-// compare them by these names.
+// Canonical emulation series names. The trace-derived builder
+// (tracereport) is their only producer: it folds each run's pool-fill,
+// segment-completion and player events into these series.
 const (
 	// TSBufferOccupancyUS samples each peer's buffered playback lead
 	// (microseconds) at every pool-fill decision.
@@ -99,14 +98,6 @@ func NewTimeSeries(cfg TimeSeriesConfig) *TimeSeries {
 	}
 }
 
-// Window returns the configured window width (0 on nil).
-func (ts *TimeSeries) Window() time.Duration {
-	if ts == nil {
-		return 0
-	}
-	return ts.window
-}
-
 // tsCell is one window's aggregate for one series. All fields are
 // atomics; min/max use CAS loops. Exact integer aggregation commutes,
 // so parallel shards and worker pools fold into identical cells.
@@ -121,15 +112,14 @@ type tsCell struct {
 type tsSeries struct {
 	name    string
 	kind    string
-	scale   float64 // display-unit conversion, as histState.scale
-	window  int64   // window width in microseconds (copied for the hot path)
+	window  int64 // window width in microseconds (copied for the hot path)
 	cells   []tsCell
 	buckets [][histSlots]int64 // hist kind only; len(cells) entries
 	hi      int64              // atomic: highest window index observed, -1 when empty
 	clamped int64              // atomic: observations clamped into the last window
 }
 
-func (ts *TimeSeries) register(name, kind string, scale float64) *tsSeries {
+func (ts *TimeSeries) register(name, kind string) *tsSeries {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	s := ts.series[name]
@@ -137,7 +127,6 @@ func (ts *TimeSeries) register(name, kind string, scale float64) *tsSeries {
 		s = &tsSeries{
 			name:   name,
 			kind:   kind,
-			scale:  scale,
 			window: ts.window.Microseconds(),
 			cells:  make([]tsCell, ts.maxWindows),
 			hi:     -1,
@@ -160,8 +149,8 @@ func (ts *TimeSeries) register(name, kind string, scale float64) *tsSeries {
 // windowIndex maps a virtual timestamp to a window slot, clamping out-of
 // range observations into the boundary windows (counting high clamps).
 // Timestamps quantize to microseconds first — the trace layer's native
-// resolution — so series rebuilt from JSONL events bucket identically to
-// the in-process recorder.
+// resolution — so series built from JSONL events bucket identically to
+// the same events held in memory.
 //
 //lint:hotpath runs on every observation
 func (s *tsSeries) windowIndex(at time.Duration) int {
@@ -261,21 +250,13 @@ func (h TSHist) Observe(at time.Duration, v int64) {
 	}
 }
 
-// ObserveDuration records a duration in microseconds (pair with a 1e-6
-// scale, mirroring Registry.SecondsHistogram).
-//
-//lint:hotpath called per telemetry event; the benchmarks assert 0 allocs/op
-func (h TSHist) ObserveDuration(at time.Duration, d time.Duration) {
-	h.Observe(at, d.Microseconds())
-}
-
 // Counter returns the named per-window counter series, creating it on
 // first use. Safe on nil.
 func (ts *TimeSeries) Counter(name string) TSCounter {
 	if ts == nil {
 		return TSCounter{}
 	}
-	return TSCounter{s: ts.register(name, TSKindCounter, 1)}
+	return TSCounter{s: ts.register(name, TSKindCounter)}
 }
 
 // Gauge returns the named sampled-gauge series. Safe on nil.
@@ -283,7 +264,7 @@ func (ts *TimeSeries) Gauge(name string) TSGauge {
 	if ts == nil {
 		return TSGauge{}
 	}
-	return TSGauge{s: ts.register(name, TSKindGauge, 1)}
+	return TSGauge{s: ts.register(name, TSKindGauge)}
 }
 
 // Histogram returns the named per-window histogram series recording raw
@@ -292,16 +273,7 @@ func (ts *TimeSeries) Histogram(name string) TSHist {
 	if ts == nil {
 		return TSHist{}
 	}
-	return TSHist{s: ts.register(name, TSKindHist, 1)}
-}
-
-// SecondsHistogram returns the named per-window histogram recording
-// microseconds and exposing seconds. Safe on nil.
-func (ts *TimeSeries) SecondsHistogram(name string) TSHist {
-	if ts == nil {
-		return TSHist{}
-	}
-	return TSHist{s: ts.register(name, TSKindHist, 1e-6)}
+	return TSHist{s: ts.register(name, TSKindHist)}
 }
 
 // TSWindow is one window's immutable aggregate. Empty windows (Count 0)
@@ -379,7 +351,7 @@ func (s *tsSeries) snapshot() TSSeriesStat {
 	st := TSSeriesStat{
 		Name:    s.name,
 		Kind:    s.kind,
-		Scale:   s.scale,
+		Scale:   1, // every series records raw units
 		Clamped: atomic.LoadInt64(&s.clamped),
 	}
 	hi := atomic.LoadInt64(&s.hi)
@@ -566,23 +538,4 @@ func (snap TSSnapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// PublishGauges derives end-state registry gauges from the snapshot —
-// per-series window span, total observations, and clamp counts — so the
-// /metrics exposition reflects the time-series layer through the same
-// single read path. Derived names carry the series as an inline label.
-func (snap TSSnapshot) PublishGauges(reg *Registry) {
-	if reg == nil {
-		return
-	}
-	reg.SetHelp("p2p_ts_windows", "Windows spanned per time series.")
-	reg.SetHelp("p2p_ts_observations", "Total observations per time series.")
-	reg.SetHelp("p2p_ts_clamped", "Observations clamped into the final window per time series.")
-	for _, s := range snap.Series {
-		label := fmt.Sprintf("{series=%q}", s.Name)
-		reg.Gauge("p2p_ts_windows" + label).Set(int64(len(s.Windows)))
-		reg.Gauge("p2p_ts_observations" + label).Set(s.Total())
-		reg.Gauge("p2p_ts_clamped" + label).Set(s.Clamped)
-	}
 }

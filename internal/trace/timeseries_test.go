@@ -88,7 +88,7 @@ func TestMergeTS(t *testing.T) {
 	build := func(vals ...int64) TSSnapshot {
 		ts := NewTimeSeries(TimeSeriesConfig{Window: time.Second, MaxWindows: 8})
 		g := ts.Gauge("g")
-		h := ts.SecondsHistogram("h")
+		h := ts.Histogram("h")
 		for i, v := range vals {
 			at := time.Duration(i) * 400 * time.Millisecond
 			g.Observe(at, v)
@@ -177,33 +177,5 @@ func TestTimeSeriesConcurrentDeterministic(t *testing.T) {
 	}
 	if csvA.Len() == 0 {
 		t.Fatal("empty CSV")
-	}
-}
-
-func TestTimeSeriesPublishGauges(t *testing.T) {
-	ts := NewTimeSeries(TimeSeriesConfig{Window: time.Second, MaxWindows: 4})
-	ts.Gauge("inflight").Observe(1500*time.Millisecond, 3)
-	ts.Gauge("inflight").Observe(9*time.Second, 1) // clamps
-	reg := NewRegistry()
-	ts.Snap().PublishGauges(reg)
-
-	var prom bytes.Buffer
-	if err := reg.WriteProm(&prom); err != nil {
-		t.Fatal(err)
-	}
-	pm, err := ParsePromText(prom.String())
-	if err != nil {
-		t.Fatalf("exposition with ts-derived gauges does not parse: %v", err)
-	}
-	checks := map[string]float64{
-		`p2p_ts_windows{series="inflight"}`:      4,
-		`p2p_ts_observations{series="inflight"}`: 2,
-		`p2p_ts_clamped{series="inflight"}`:      1,
-	}
-	for name, want := range checks {
-		got, ok := pm.Value(name)
-		if !ok || got != want {
-			t.Errorf("%s = %v (present=%v), want %v", name, got, ok, want)
-		}
 	}
 }

@@ -10,13 +10,13 @@ import (
 	"p2psplice/internal/trace"
 )
 
-// This file rebuilds the emulation's windowed time series from trace
-// events alone. The in-process recorder (simpeer's simSeries) and this
-// builder observe the same quantities at the same timestamps — pool-fill
-// args, player transitions, segment completions — so for a single run
-// the two snapshots are bit-identical (TestTimeSeriesCoherent), and a
-// trace directory written by the experiment runner yields the same
-// byte-for-byte CSV on every rerun and worker count.
+// This file builds the emulation's windowed time series from trace
+// events alone; it is the only producer of the sim_* series. It folds
+// pool-fill args, player transitions and segment completions at their
+// own timestamps, so a seeded run always yields the same snapshot
+// (TestTimeSeriesCoherent pins its hash), and a trace directory written
+// by the experiment runner yields the same byte-for-byte CSV on every
+// rerun and worker count.
 
 // TimeSeriesOptions configures the trace-derived builder.
 type TimeSeriesOptions struct {
@@ -45,8 +45,8 @@ type TimeSeriesBuilder struct {
 }
 
 // NewTimeSeriesBuilder returns an empty builder with every emulation
-// series registered (so snapshots list the full set even when a quiet
-// run never observes one of them, mirroring the in-process recorder).
+// series registered, so snapshots list the full set even when a quiet
+// run never observes one of them.
 func NewTimeSeriesBuilder(opts TimeSeriesOptions) *TimeSeriesBuilder {
 	b := &TimeSeriesBuilder{
 		opts: opts,
@@ -88,7 +88,7 @@ func (b *TimeSeriesBuilder) AddEvents(events []trace.Event) {
 		case ev.Cat == trace.CatPool && ev.Name == trace.EvPoolFill:
 			b.s.bufferedUS.Observe(ev.At, ev.ArgInt64("buffered_us", 0))
 			b.s.poolTarget.Observe(ev.At, ev.ArgInt64("target", 0))
-			// The in-process gauge samples the post-fill pool depth.
+			// The gauge samples the post-fill pool depth.
 			b.s.inflight.Observe(ev.At, ev.ArgInt64("inflight", 0)+ev.ArgInt64("launched", 0))
 		case ev.Cat == trace.CatPool && ev.Name == trace.EvSegComplete:
 			b.s.segsDone.Inc(ev.At)
@@ -106,7 +106,7 @@ func (b *TimeSeriesBuilder) AddEvents(events []trace.Event) {
 			}
 		case ev.Cat == trace.CatPlayer && ev.Name == trace.EvFinished:
 			// Finishing straight out of a stall closes it without a
-			// stall_end, exactly as the in-process recorder counts it.
+			// stall_end.
 			if stalled[ev.Peer] {
 				delete(stalled, ev.Peer)
 				stalledNow--
