@@ -21,8 +21,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet: go vet, plus gofmt — any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting (run gofmt -w):"; echo "$$unformatted"; exit 1; fi
 
 # splicelint: the repo's own static-analysis suite (internal/analysis),
 # with the full analyzer set, dead-suppression reporting, and a JSON
@@ -37,7 +40,7 @@ lint: | $(ARTIFACTS)
 # static contract. Not run under -race (instrumentation allocates).
 bench-alloc: | $(ARTIFACTS)
 	$(GO) test -run='^$$' -bench='^BenchmarkHotpath' -benchmem \
-		./internal/wire ./internal/trace ./internal/sim ./internal/netem > $(ARTIFACTS)/bench-alloc.txt || \
+		./internal/wire ./internal/trace ./internal/sim ./internal/netem ./internal/simpeer > $(ARTIFACTS)/bench-alloc.txt || \
 		{ cat $(ARTIFACTS)/bench-alloc.txt; exit 1; }
 	@cat $(ARTIFACTS)/bench-alloc.txt
 	@awk '/^BenchmarkHotpath/ { seen++; if ($$(NF-1) != 0) { print "bench-alloc: " $$1 " allocates " $$(NF-1) " allocs/op, want 0"; bad = 1 } } \

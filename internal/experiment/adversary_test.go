@@ -78,7 +78,7 @@ func TestFigAdversaryShape(t *testing.T) {
 	// rep-on and rep-off see identical swarms, so their measurements are
 	// bit-identical.
 	for _, scheme := range []string{"gop", "4s"} {
-		on, off := res.Series(scheme+" rep-on")[0], res.Series(scheme+" rep-off")[0]
+		on, off := res.Series(scheme + " rep-on")[0], res.Series(scheme + " rep-off")[0]
 		if on != off {
 			t.Errorf("%s: honest-swarm badness differs with reputation on (%v) vs off (%v)",
 				scheme, on, off)

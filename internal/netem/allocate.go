@@ -271,7 +271,10 @@ func (n *Network) applyRates(flows []*Flow) {
 			continue // starved; a later reallocation will revive it
 		}
 		delay := time.Duration(f.remaining / rate * float64(time.Second))
-		f.completion = n.eng.Schedule(delay, f.complete)
+		if f.completeFn == nil {
+			f.completeFn = f.complete
+		}
+		f.completion = n.eng.Schedule(delay, f.completeFn)
 	}
 }
 

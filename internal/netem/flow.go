@@ -64,6 +64,9 @@ type Flow struct {
 	hazardTimer *sim.Timer
 	freezeTimer *sim.Timer
 	onComplete  func(*Flow)
+	// Callbacks bound on first use and reused by every later Schedule,
+	// so rescheduling a flow's timers allocates no closure.
+	completeFn, hazardFn, rampFn func()
 }
 
 // TransferOptions tune one transfer.
@@ -154,9 +157,13 @@ func (f *Flow) Src() NodeID { return f.src }
 func (f *Flow) Dst() NodeID { return f.dst }
 
 // Size returns the transfer size in bytes.
+//
+//lint:hotpath read by simpeer's relay-progress check on every source pick
 func (f *Flow) Size() int64 { return f.size }
 
 // Remaining returns the bytes not yet transferred.
+//
+//lint:hotpath read by simpeer's relay-progress check on every source pick
 func (f *Flow) Remaining() int64 {
 	f.net.advance(f)
 	if math.IsInf(f.remaining, 1) {
@@ -235,46 +242,52 @@ func (f *Flow) scheduleHazard() {
 	if f.net.cfg.TimeoutHazard <= 0 || f.net.cfg.TimeoutMeanFreeze <= 0 {
 		return
 	}
-	f.hazardTimer = f.net.eng.Schedule(time.Second, func() {
+	if f.hazardFn == nil {
+		f.hazardFn = f.hazard
+	}
+	f.hazardTimer = f.net.eng.Schedule(time.Second, f.hazardFn)
+}
+
+// hazard runs one RTO check and schedules the next.
+func (f *Flow) hazard() {
+	if f.state != flowActive {
+		return
+	}
+	f.scheduleHazard()
+	if f.frozen {
+		return
+	}
+	crowd := len(f.lup.flows)
+	if d := len(f.ldown.flows); d > crowd {
+		crowd = d
+	}
+	excess := crowd - f.net.cfg.ConcurrencyFreeFlows
+	if excess <= 0 {
+		return
+	}
+	p := f.net.cfg.TimeoutHazard * float64(excess)
+	if f.net.eng.RNG().Float64() >= p {
+		return
+	}
+	// Freeze: exponential duration clamped to [0.2s, 8s].
+	d := time.Duration(f.net.eng.RNG().ExpFloat64() * float64(f.net.cfg.TimeoutMeanFreeze))
+	if d < 200*time.Millisecond {
+		d = 200 * time.Millisecond
+	}
+	if d > 8*time.Second {
+		d = 8 * time.Second
+	}
+	f.frozen = true
+	f.freezeTimer = f.net.eng.Schedule(d, func() {
 		if f.state != flowActive {
 			return
 		}
-		f.scheduleHazard()
-		if f.frozen {
-			return
-		}
-		crowd := len(f.lup.flows)
-		if d := len(f.ldown.flows); d > crowd {
-			crowd = d
-		}
-		excess := crowd - f.net.cfg.ConcurrencyFreeFlows
-		if excess <= 0 {
-			return
-		}
-		p := f.net.cfg.TimeoutHazard * float64(excess)
-		if f.net.eng.RNG().Float64() >= p {
-			return
-		}
-		// Freeze: exponential duration clamped to [0.2s, 8s].
-		d := time.Duration(f.net.eng.RNG().ExpFloat64() * float64(f.net.cfg.TimeoutMeanFreeze))
-		if d < 200*time.Millisecond {
-			d = 200 * time.Millisecond
-		}
-		if d > 8*time.Second {
-			d = 8 * time.Second
-		}
-		f.frozen = true
-		f.freezeTimer = f.net.eng.Schedule(d, func() {
-			if f.state != flowActive {
-				return
-			}
-			f.frozen = false
-			f.net.reallocateOn(f.lup, f.ldown)
-			f.net.emitFlow(f, FlowEventUnfreeze)
-		})
+		f.frozen = false
 		f.net.reallocateOn(f.lup, f.ldown)
-		f.net.emitFlow(f, FlowEventFreeze)
+		f.net.emitFlow(f, FlowEventUnfreeze)
 	})
+	f.net.reallocateOn(f.lup, f.ldown)
+	f.net.emitFlow(f, FlowEventFreeze)
 }
 
 // scheduleRamp arranges the next slow-start doubling. It is re-entered
@@ -285,16 +298,22 @@ func (f *Flow) scheduleRamp() {
 		return // ramping further would never change the allocation
 	}
 	f.rampPending = true
-	f.rampTimer = f.net.eng.Schedule(f.rtt, func() {
-		f.rampPending = false
-		if f.state != flowActive {
-			return
-		}
-		f.rampCap *= 2
-		f.scheduleRamp()
-		f.net.reallocateOn(f.lup, f.ldown)
-		f.net.emitFlow(f, FlowEventRamp)
-	})
+	if f.rampFn == nil {
+		f.rampFn = f.ramp
+	}
+	f.rampTimer = f.net.eng.Schedule(f.rtt, f.rampFn)
+}
+
+// ramp performs one slow-start doubling and schedules the next.
+func (f *Flow) ramp() {
+	f.rampPending = false
+	if f.state != flowActive {
+		return
+	}
+	f.rampCap *= 2
+	f.scheduleRamp()
+	f.net.reallocateOn(f.lup, f.ldown)
+	f.net.emitFlow(f, FlowEventRamp)
 }
 
 // mathisCap returns the Mathis throughput bound C·MSS/(RTT·sqrt(p)) for
@@ -388,6 +407,8 @@ func (l *link) removeFlow(i int) {
 // so the result is identical no matter how many intermediate events
 // called advance — the incremental reallocator relies on this to leave
 // flows in clean components untouched.
+//
+//lint:hotpath brings a flow current for Remaining and the allocator
 func (n *Network) advance(f *Flow) {
 	now := n.eng.Now()
 	if f.state == flowActive && now > f.anchorAt {

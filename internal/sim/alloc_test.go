@@ -1,5 +1,5 @@
 // Zero-allocation tests for the //lint:hotpath contract on the event
-// loop: scheduling allocates (one event and one Timer per At, by
+// loop: scheduling allocates (one event per At, its Timer embedded, by
 // design), but the heap operations and Step itself must not. Excluded
 // under -race because race instrumentation inserts allocations the
 // production build does not have.
@@ -60,5 +60,21 @@ func BenchmarkHotpathSimStep(b *testing.B) {
 		}
 		for e.Step() {
 		}
+	}
+}
+
+// TestAtAllocatesOnce pins scheduling's cost: the Timer handle lives
+// inside its event, so At makes exactly one allocation once the heap's
+// backing array has grown.
+func TestAtAllocatesOnce(t *testing.T) {
+	e := New(1)
+	for i := 0; i < 256; i++ {
+		e.At(time.Duration(i), nop)
+	}
+	for e.Step() {
+	}
+	allocs := testing.AllocsPerRun(100, func() { e.At(e.Now(), nop) })
+	if allocs != 1 {
+		t.Errorf("At allocated %.1f times per call, want 1", allocs)
 	}
 }

@@ -29,6 +29,8 @@ func New(seed int64) *Engine {
 }
 
 // Now returns the current virtual time.
+//
+//lint:hotpath read by every simulated decision
 func (e *Engine) Now() time.Duration { return e.now }
 
 // RNG returns the engine's deterministic random source.
@@ -89,9 +91,10 @@ func (e *Engine) At(t time.Duration, fn func()) *Timer {
 		t = e.now
 	}
 	ev := &event{at: t, seq: e.seq, fn: fn}
+	ev.timer.ev = ev
 	e.seq++
 	heap.Push(&e.events, ev)
-	return &Timer{ev: ev}
+	return &ev.timer
 }
 
 // Step fires the next event, advancing the clock. It returns false when the
@@ -150,12 +153,15 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 	}
 }
 
+// event is one scheduled callback. Its Timer handle is embedded, so
+// scheduling costs one allocation.
 type event struct {
 	at        time.Duration
 	seq       uint64
 	fn        func()
 	cancelled bool
 	index     int
+	timer     Timer
 }
 
 // eventHeap orders by (time, insertion sequence) for deterministic FIFO

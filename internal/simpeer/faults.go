@@ -105,6 +105,7 @@ func (s *swarm) rejoin(p *peerState) {
 func (s *swarm) setLink(p *peerState, down bool) {
 	// Errors are impossible: node IDs come from setup.
 	_ = s.net.SetLinkDown(p.node, down)
+	p.linkDown = down
 	name := trace.EvLinkUp
 	if down {
 		name = trace.EvLinkDown
@@ -164,9 +165,6 @@ func (s *swarm) setCorrupt(p *peerState, pct float64) {
 	if pct > 0 {
 		p.corruptPct = pct
 		p.corruptStartAt = s.eng.Now()
-		if p.segAttempts == nil {
-			p.segAttempts = make(map[int]int)
-		}
 		s.emit(p.id, -1, trace.CatFault, trace.EvCorrupt,
 			trace.Float64("percent", pct))
 		return
@@ -180,14 +178,15 @@ func (s *swarm) setCorrupt(p *peerState, pct float64) {
 // SOURCE per ev.Adversary until the window closes. The flag is sticky
 // (adversarial) so collection can exclude the peer's own playback from
 // honest-swarm samples. Stale-have/slowloris windows change apparent
-// availability (the liar now claims every segment), so every pool is
-// refilled — that is the lure.
+// availability (the liar now claims every segment, so it joins every
+// candidate list), and every pool is refilled — that is the lure.
 func (s *swarm) setAdversary(p *peerState, ev fault.Event) {
 	p.advKind = ev.Adversary
 	p.advPct = ev.Percent
 	p.advTrickle = ev.BytesPerSec
 	p.advStartAt = s.eng.Now()
 	p.adversarial = true
+	s.syncCandAll(p)
 	s.emit(p.id, -1, trace.CatFault, trace.EvAdversary,
 		trace.Str("kind", ev.Adversary.String()),
 		trace.Float64("percent", ev.Percent),
@@ -198,11 +197,13 @@ func (s *swarm) setAdversary(p *peerState, ev fault.Event) {
 // clearAdversary closes the window: the peer serves honestly again.
 // Pending downloads against it still die by serve timeout (the victims
 // cannot know the liar reformed), but new requests complete normally.
+// A former liar stays listed only for segments it holds or relays.
 func (s *swarm) clearAdversary(p *peerState) {
 	p.advKind = fault.AdvNone
 	p.advPct = 0
 	p.advTrickle = 0
 	p.advEndAt = s.eng.Now()
+	s.syncCandAll(p)
 	s.emit(p.id, -1, trace.CatFault, trace.EvAdversaryEnd)
 	s.fillAll()
 }

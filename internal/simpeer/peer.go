@@ -2,7 +2,7 @@ package simpeer
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"time"
 
 	"p2psplice/internal/core"
@@ -12,17 +12,6 @@ import (
 	"p2psplice/internal/reputation"
 	"p2psplice/internal/trace"
 )
-
-// sortedKeys returns the map's keys in ascending order for deterministic
-// iteration.
-func sortedKeys(m map[int]*download) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
 
 // peerState is one node's swarm state (seeder or leecher).
 type peerState struct {
@@ -36,13 +25,16 @@ type peerState struct {
 	haveCount int
 
 	// Leecher-only fields.
-	player   *player.Player
-	inFlight map[int]*download // segment index -> active download
-	uploads  int               // concurrent uploads this node serves
-	est      *core.BandwidthEstimator
-	estGuess int64
-	joined   time.Duration
-	departed bool
+	player *player.Player
+	// inFlight holds the active download of each segment (nil when the
+	// segment is not being fetched); nInFlight counts the non-nil entries.
+	inFlight  []*download
+	nInFlight int
+	uploads   int // concurrent uploads this node serves
+	est       *core.BandwidthEstimator
+	estGuess  int64
+	joined    time.Duration
+	departed  bool
 
 	// Crash state (fault plans only). A crashed peer keeps its segment
 	// store across rejoin (process-restart model) but serves and fetches
@@ -53,8 +45,11 @@ type peerState struct {
 	crashes     int
 	lastCrashAt time.Duration
 	rejoinedAt  time.Duration
-	// Link-flap window bounds, kept for the same retroactive stall
-	// attribution (netem owns the live down/up flag).
+	// linkDown mirrors netem's administrative down flag for this node's
+	// links. setLink is simpeer's only SetLinkDown caller and writes both,
+	// so source selection reads the flag without a netem lookup.
+	linkDown bool
+	// Link-flap window bounds, kept for retroactive stall attribution.
 	linkDowns      int
 	lastLinkDownAt time.Duration
 	linkUpAt       time.Duration
@@ -69,7 +64,7 @@ type peerState struct {
 	// segAttempts counts download attempts per segment so every retry of
 	// a discarded segment gets a fresh deterministic corruption draw
 	// (a fixed per-segment draw would livelock at high percentages).
-	segAttempts map[int]int
+	segAttempts []int
 	// Adversary window state (fault plans only). advKind != AdvNone while
 	// a window is open on this peer — misbehavior AS A SOURCE: corrupter
 	// and polluter serves fail verification at the requester, stale-have
@@ -101,10 +96,16 @@ type peerState struct {
 	// this node is currently sending. A node never sends the same segment
 	// twice in parallel: the second requester chains off the first copy
 	// (see pickSource), which is how the piece-level protocol behaves.
-	uploading map[int]int
+	uploading []int32
+	// quarUntil mirrors the reputation table's quarantine deadline for
+	// this node (Update.Until of its latest observation): the node is
+	// quarantined at t iff t < quarUntil. Zero when never observed.
+	quarUntil time.Duration
 	// retryPending marks a scheduled source-retry so fill does not stack
 	// duplicate timers while the peer waits for an eligible source.
 	retryPending bool
+	// retry is the scheduled source-retry callback, bound once per peer.
+	retry func()
 
 	// openStallAt/openStallCause track the in-progress stall for the QoE
 	// histograms. Observer-owned: written only from onPlayerTransition
@@ -140,11 +141,7 @@ func (s *swarm) bandwidth(p *peerState) int64 {
 
 // wanted reports whether p still needs segment idx and is not fetching it.
 func (p *peerState) wanted(idx int) bool {
-	if p.have[idx] {
-		return false
-	}
-	_, fetching := p.inFlight[idx]
-	return !fetching
+	return !p.have[idx] && p.inFlight[idx] == nil
 }
 
 // nextWanted returns the index of the next segment to request, or -1.
@@ -188,59 +185,44 @@ func (s *swarm) nextWanted(p *peerState) int {
 	return best
 }
 
-// holderCount counts active peers holding segment idx.
-func (s *swarm) holderCount(idx int) int {
-	n := 0
-	for _, q := range s.peers {
-		if !q.departed && !q.crashed && q.have[idx] {
-			n++
-		}
-	}
-	return n
-}
-
-// crashedHolder reports whether a currently-crashed peer holds segment
-// idx — the stall-attribution signal for "my source crashed".
-func (s *swarm) crashedHolder(idx int) bool {
-	for _, q := range s.peers {
-		if q.crashed && q.have[idx] {
-			return true
-		}
-	}
-	return false
-}
-
 // uploadSlots resolves the per-peer upload cap: the configured value, the
-// default of 4 when unset, or 0 (unlimited) when negative.
+// default of 4 when unset, or no cap (math.MaxInt) when negative.
 func (s *swarm) uploadSlots() int {
 	switch {
 	case s.cfg.MaxUploadsPerPeer > 0:
 		return s.cfg.MaxUploadsPerPeer
 	case s.cfg.MaxUploadsPerPeer < 0:
-		return 0
+		return math.MaxInt
 	default:
 		return 4
 	}
 }
 
+// endDownload forgets p's active download of segment idx.
+func (p *peerState) endDownload(idx int) {
+	p.inFlight[idx] = nil
+	p.nInFlight--
+}
+
 // sourceProgress returns how much of segment idx the candidate q can serve:
 // 1.0 for a full holder, the download progress for a relaying leecher, and
-// -1 if q cannot serve the segment at all.
+// -1 if q cannot serve the segment at all. The relay threshold is checked
+// here, lazily: no event marks a download crossing it, so a relayer sits
+// in the segment's candidate list from the moment its flow starts.
+//
+//lint:hotpath evaluated for every eligible candidate on every pool fill
 func (s *swarm) sourceProgress(q *peerState, idx int) float64 {
 	// A stale-have liar (or slowloris) claims every segment while its
 	// window is open — that is the attack: requesters believe the HAVE
 	// and assign it downloads that will only die by serve timeout.
-	if q.advKind == fault.AdvStaleHave || q.advKind == fault.AdvSlowloris {
-		return 1
-	}
-	if q.have[idx] {
+	if q.have[idx] || q.claimsAll() {
 		return 1
 	}
 	if s.cfg.DisableRelay || q.isSeeder {
 		return -1
 	}
-	d, ok := q.inFlight[idx]
-	if !ok || d.flow == nil {
+	d := q.inFlight[idx]
+	if d == nil || d.flow == nil {
 		return -1
 	}
 	size := d.flow.Size()
@@ -266,28 +248,33 @@ const defaultRelayThreshold = 0.02
 // protocol (there is no protocol event for "a relay crossed its threshold").
 const sourceRetryDelay = 250 * time.Millisecond
 
-// eligible reports whether q can serve segment idx to p right now.
-// allowQuarantined opens the sole-source escape hatch: the second
-// selection pass considers quarantined sources rather than sacrifice
-// liveness (a fully quarantined swarm must still drain off its one
-// honest seeder — or, at worst, off the quarantined peers themselves).
-func (s *swarm) eligible(p, q *peerState, idx int, allowQuarantined bool) bool {
-	if q == p || q.departed || q.crashed || s.net.LinkIsDown(q.node) {
-		return false
+// eligible reports whether q can serve segment idx to p right now and, if
+// so, q's sourceProgress for it. allowQuarantined opens the sole-source
+// escape hatch: the second selection pass considers quarantined sources
+// rather than sacrifice liveness (a fully quarantined swarm must still
+// drain off its one honest seeder — or, at worst, off the quarantined
+// peers themselves). Every check before the relay progress reads a
+// cached field, so a busy or offline candidate costs no flow update.
+//
+//lint:hotpath evaluated for every candidate of every wanted segment on every pool fill
+func (s *swarm) eligible(p, q *peerState, idx int, allowQuarantined bool) (float64, bool) {
+	if q == p || q.departed || q.crashed || q.linkDown {
+		return 0, false
 	}
-	if !allowQuarantined && s.rep != nil && s.rep.Quarantined(q.id, s.eng.Now()) {
-		return false
+	if !allowQuarantined && s.eng.Now() < q.quarUntil {
+		return 0, false
 	}
-	if s.sourceProgress(q, idx) < 0 {
-		return false
-	}
-	if cap := s.uploadSlots(); cap > 0 && q.uploads >= cap {
-		return false
+	if q.uploads >= s.slots {
+		return 0, false
 	}
 	// q already sending this segment to someone: a duplicate upload would
 	// split the frontier rate. The requester chains off the in-flight copy
 	// once it crosses the relay threshold.
-	return q.uploading[idx] == 0
+	if q.uploading[idx] != 0 {
+		return 0, false
+	}
+	progress := s.sourceProgress(q, idx)
+	return progress, progress >= 0
 }
 
 // pickSource chooses the uploader for segment idx: non-quarantined swarm
@@ -312,33 +299,45 @@ func (s *swarm) pickSource(p *peerState, idx int) *peerState {
 // still eligible (stable unchoke relationships keep the distribution
 // chain, and every peer's pipeline depth in it, steady across segments),
 // otherwise the least-loaded eligible source, ties broken by higher relay
-// progress and then by lowest peer ID (deterministic). The CDN, when
-// configured, is a fallback only: swarm sources offload it (the paper's
-// hybrid architecture serves "by peers as well as a CDN").
+// progress and then by lowest peer ID (deterministic). Only the segment's
+// candidates are examined (see index.go). The CDN, when configured, is a
+// fallback only: swarm sources offload it (the paper's hybrid
+// architecture serves "by peers as well as a CDN").
+//
+//lint:hotpath the source choice behind every launched download and every blocked pool slot
 func (s *swarm) pickSourceFrom(p *peerState, idx int, allowQuarantined bool) *peerState {
-	if p.lastSrc != nil && !p.lastSrc.isCDN && s.eligible(p, p.lastSrc, idx, allowQuarantined) {
-		return p.lastSrc
+	if p.lastSrc != nil && !p.lastSrc.isCDN {
+		if _, ok := s.eligible(p, p.lastSrc, idx, allowQuarantined); ok {
+			return p.lastSrc
+		}
 	}
 	var best *peerState
 	var bestProgress float64
-	for _, q := range s.peers {
-		if !s.eligible(p, q, idx, allowQuarantined) {
-			continue
-		}
-		progress := s.sourceProgress(q, idx)
-		if best == nil || q.uploads < best.uploads ||
-			(q.uploads == best.uploads && progress > bestProgress) {
+	for _, q := range s.candidates(idx) {
+		progress, ok := s.eligible(p, q, idx, allowQuarantined)
+		if ok && q.beats(best, progress, bestProgress) {
 			best, bestProgress = q, progress
 		}
 	}
 	return best
 }
 
+// beats reports whether candidate q, serving progress of the segment,
+// outranks the best source so far: fewer concurrent uploads, then higher
+// progress. Candidates arrive in ascending ID order and ties keep the
+// earlier one, so the lowest ID wins the rest.
+//
+//lint:hotpath the comparison inside pickSourceFrom's candidate loop
+func (q *peerState) beats(best *peerState, progress, bestProgress float64) bool {
+	return best == nil || q.uploads < best.uploads ||
+		(q.uploads == best.uploads && progress > bestProgress)
+}
+
 // cdnEligible enforces the paper's hybrid rule: a client downloads at most
 // one segment at a time from the CDN.
 func (s *swarm) cdnEligible(p *peerState) bool {
 	for _, d := range p.inFlight {
-		if d.src.isCDN {
+		if d != nil && d.src.isCDN {
 			return false
 		}
 	}
@@ -350,7 +349,7 @@ func (s *swarm) cdnEligible(p *peerState) bool {
 // cancellation, departure); when a wanted segment has no eligible source it
 // schedules a short retry.
 func (s *swarm) fill(p *peerState) {
-	if p.isSeeder || p.departed || p.crashed || s.net.LinkIsDown(p.node) {
+	if p.isSeeder || p.departed || p.crashed || p.linkDown {
 		return
 	}
 	now := s.eng.Now()
@@ -363,7 +362,7 @@ func (s *swarm) fill(p *peerState) {
 	segBytes := s.segs[next].Bytes
 	target := s.cfg.Policy.PoolSize(b, buffered, segBytes)
 	s.sm.poolK.Observe(int64(target))
-	inFlightBefore := len(p.inFlight)
+	inFlightBefore := p.nInFlight
 	if inFlightBefore >= target {
 		return
 	}
@@ -372,7 +371,7 @@ func (s *swarm) fill(p *peerState) {
 	// sourceless so a fixed pool still pipelines.
 	blocked := false
 	launched := 0
-	for idx := next; idx < len(s.segs) && len(p.inFlight) < target; idx++ {
+	for idx := next; idx < len(s.segs) && p.nInFlight < target; idx++ {
 		if !p.wanted(idx) {
 			continue
 		}
@@ -417,12 +416,7 @@ func (s *swarm) fill(p *peerState) {
 				trace.Int64("delay_us", delay.Microseconds()),
 				trace.Int64("attempt", int64(attempt)))
 		}
-		s.eng.Schedule(delay, func() {
-			p.retryPending = false
-			if !p.departed {
-				s.fill(p)
-			}
-		})
+		s.eng.Schedule(delay, p.retry)
 	}
 }
 
@@ -430,7 +424,7 @@ func (s *swarm) fill(p *peerState) {
 func (s *swarm) startDownload(p, src *peerState, idx int) {
 	if s.cfg.Trace {
 		fmt.Printf("%8.2fs peer%d <- peer%d seg%d (srcUploads=%d inflight=%d T=%v)\n",
-			s.eng.Now().Seconds(), p.id, src.id, idx, src.uploads, len(p.inFlight),
+			s.eng.Now().Seconds(), p.id, src.id, idx, src.uploads, p.nInFlight,
 			p.player.BufferedAhead(s.eng.Now()).Round(100*time.Millisecond))
 	}
 	src.uploads++
@@ -441,9 +435,10 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 	// (A slowloris trickles real bytes, but a trickle that cannot finish
 	// before the timeout is indistinguishable from silence in the fluid
 	// model; the trickle rate is trace metadata.)
-	if src.advKind == fault.AdvStaleHave || src.advKind == fault.AdvSlowloris {
+	if src.claimsAll() {
 		d := &download{src: src, pending: src.advKind}
 		p.inFlight[idx] = d
+		p.nInFlight++
 		p.lastSrc = src
 		if s.cfg.Tracer.Enabled() {
 			s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
@@ -461,7 +456,9 @@ func (s *swarm) startDownload(p, src *peerState, idx int) {
 		panic("simpeer: start transfer: " + err.Error())
 	}
 	p.inFlight[idx] = &download{flow: flow, src: src}
+	p.nInFlight++
 	p.lastSrc = src
+	s.syncCand(p, idx)
 	if s.cfg.Tracer.Enabled() {
 		s.emit(p.id, idx, trace.CatPool, trace.EvSourcePick,
 			trace.Int64("flow", int64(flow.ID())),
@@ -491,7 +488,7 @@ func (s *swarm) onServeTimeout(p, src *peerState, idx int, d *download) {
 	if p.inFlight[idx] != d {
 		return // already reaped by crash/departure teardown
 	}
-	delete(p.inFlight, idx)
+	p.endDownload(idx)
 	src.uploads--
 	src.uploading[idx]--
 	if s.cfg.Tracer.Enabled() {
@@ -520,9 +517,10 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 	src.uploading[idx]--
 	// k counts the finishing flow too: it is this peer's concurrency while
 	// the segment was in transit.
-	k := int64(len(p.inFlight))
-	delete(p.inFlight, idx)
+	k := int64(p.nInFlight)
+	p.endDownload(idx)
 	if p.departed {
+		s.syncCand(p, idx)
 		return
 	}
 	now := s.eng.Now()
@@ -567,9 +565,11 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 					trace.Int64("attempt", int64(attempt)),
 					trace.Int64("src", int64(src.id)))
 			}
+			// Not a completion: no segment metrics, no have/player update,
+			// and p stops relaying the segment. Refill so the re-request
+			// launches immediately.
+			s.syncCand(p, idx)
 			s.observeRep(src, reputation.ObsVerifyFail)
-			// Not a completion: no segment metrics, no have/player update.
-			// Refill so the re-request launches immediately.
 			s.fill(p)
 			return
 		}
@@ -586,6 +586,7 @@ func (s *swarm) onDownloadComplete(p, src *peerState, idx int, f *netem.Flow) {
 	if !p.have[idx] {
 		p.have[idx] = true
 		p.haveCount++
+		s.syncCand(p, idx)
 	}
 	if err := p.player.OnSegmentComplete(idx, now); err != nil {
 		panic("simpeer: segment complete: " + err.Error()) // unreachable

@@ -25,6 +25,7 @@ func (s *swarm) observeRep(src *peerState, obs reputation.Observation) {
 	}
 	now := s.eng.Now()
 	up := s.rep.Observe(src.id, now, obs)
+	src.quarUntil = up.Until
 	if s.cfg.Tracer.Enabled() {
 		if obs != reputation.ObsSuccess {
 			s.emit(src.id, -1, trace.CatRep, trace.EvRepPenalty,
@@ -58,7 +59,7 @@ func (s *swarm) observeRep(src *peerState, obs reputation.Observation) {
 	// If the peer was re-quarantined in the meantime the later window's
 	// own release event handles it.
 	s.eng.Schedule(up.Until-now, func() {
-		if s.rep.Quarantined(src.id, s.eng.Now()) {
+		if s.eng.Now() < src.quarUntil {
 			return
 		}
 		if s.cfg.Tracer.Enabled() {

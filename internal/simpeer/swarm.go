@@ -275,6 +275,16 @@ func (r *Result) Summary() metrics.Summary { return metrics.Summarize(r.Samples)
 
 // RunSwarm executes one deterministic emulated run.
 func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
+	sw, err := newSwarm(cfg, segs)
+	if err != nil {
+		return nil, err
+	}
+	return sw.run()
+}
+
+// newSwarm validates the configuration and builds a swarm with its
+// joins and faults scheduled, ready to run.
+func newSwarm(cfg SwarmConfig, segs []SegmentMeta) (*swarm, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -295,20 +305,29 @@ func RunSwarm(cfg SwarmConfig, segs []SegmentMeta) (*Result, error) {
 	if err := sw.setup(); err != nil {
 		return nil, err
 	}
+	return sw, nil
+}
 
-	maxEvents := cfg.MaxEvents
+// run fires the swarm's events to completion and collects the result.
+func (s *swarm) run() (*Result, error) {
+	maxEvents := s.cfg.MaxEvents
 	if maxEvents <= 0 {
 		maxEvents = 20_000_000
 	}
-	if err := eng.Run(maxEvents); err != nil {
+	if err := s.eng.Run(maxEvents); err != nil {
 		return nil, fmt.Errorf("simpeer: %w", err)
 	}
-	if cfg.Tracer.Enabled() {
-		sw.emit(-1, -1, trace.CatSim, trace.EvSimSummary,
-			trace.Int64("events_fired", sw.eventsFired))
-	}
+	return s.finish(), nil
+}
 
-	return sw.collect(), nil
+// finish closes a drained run: the closing trace summary, then the
+// result.
+func (s *swarm) finish() *Result {
+	if s.cfg.Tracer.Enabled() {
+		s.emit(-1, -1, trace.CatSim, trace.EvSimSummary,
+			trace.Int64("events_fired", s.eventsFired))
+	}
+	return s.collect()
 }
 
 // swarm is the run-scoped state.
@@ -338,6 +357,13 @@ type swarm struct {
 	// rep is the per-peer reputation table, or nil when the subsystem is
 	// disabled (the legacy-selection path).
 	rep *reputation.Table[int]
+	// slots is the per-peer upload cap (math.MaxInt when uncapped).
+	slots int
+	// cands is the per-segment source index (see index.go).
+	cands [][]*peerState
+	// forceScan makes source selection and the holder queries walk every
+	// peer instead of the index: the oracle mode of the differential tests.
+	forceScan bool
 }
 
 // nodePlan resolves the per-node link parameters, either from the scalar
@@ -401,15 +427,15 @@ func (s *swarm) setup() error {
 	if s.nodeToPeer != nil {
 		s.nodeToPeer[seederNode] = 0
 	}
-	seeder := &peerState{
-		id: 0, node: seederNode, isSeeder: true,
-		have:      make([]bool, len(s.segs)),
-		uploading: make(map[int]int),
-	}
+	s.slots = s.uploadSlots()
+	seeder := s.newPeer(0, seederNode)
+	seeder.isSeeder = true
+	seeder.haveCount = len(s.segs)
+	s.cands = make([][]*peerState, len(s.segs))
 	for i := range seeder.have {
 		seeder.have[i] = true
+		s.cands[i] = []*peerState{seeder}
 	}
-	seeder.haveCount = len(s.segs)
 	s.peers = append(s.peers, seeder)
 
 	if s.cfg.CDN != nil {
@@ -424,11 +450,8 @@ func (s *swarm) setup() error {
 		if s.nodeToPeer != nil {
 			s.nodeToPeer[cdnNode] = -1
 		}
-		cdn := &peerState{
-			id: -1, node: cdnNode, isSeeder: true, isCDN: true,
-			have:      make([]bool, len(s.segs)),
-			uploading: make(map[int]int),
-		}
+		cdn := s.newPeer(-1, cdnNode)
+		cdn.isSeeder, cdn.isCDN = true, true
 		for i := range cdn.have {
 			cdn.have[i] = true
 		}
@@ -470,20 +493,18 @@ func (s *swarm) setup() error {
 		if err != nil {
 			return err
 		}
-		p := &peerState{
-			id:        i,
-			rate:      rate,
-			node:      node,
-			have:      make([]bool, len(s.segs)),
-			player:    pl,
-			inFlight:  make(map[int]*download),
-			uploading: make(map[int]int),
-			// Pre-allocated (not lazily, as setCorrupt does) because any
-			// peer can become the victim of an adversarial source and needs
-			// per-segment attempt counters for its pollution draws.
-			segAttempts: make(map[int]int),
-			est:         est,
-			estGuess:    guess,
+		p := s.newPeer(i, node)
+		p.rate = rate
+		p.player = pl
+		p.inFlight = make([]*download, len(s.segs))
+		p.segAttempts = make([]int, len(s.segs))
+		p.est = est
+		p.estGuess = guess
+		p.retry = func() {
+			p.retryPending = false
+			if !p.departed {
+				s.fill(p)
+			}
 		}
 		s.peers = append(s.peers, p)
 
@@ -514,6 +535,17 @@ func (s *swarm) setup() error {
 		s.cross = append(s.cross, f)
 	}
 	return s.compileFaults()
+}
+
+// newPeer builds a node's state with its per-segment arrays sized to the
+// clip.
+func (s *swarm) newPeer(id int, node netem.NodeID) *peerState {
+	return &peerState{
+		id:        id,
+		node:      node,
+		have:      make([]bool, len(s.segs)),
+		uploading: make([]int32, len(s.segs)),
+	}
 }
 
 // join starts a leecher: the viewer presses play, the peer fetches the
@@ -577,16 +609,19 @@ func (s *swarm) depart(p *peerState) {
 // timeout wait). Shared by departure (churn) and crash (fault plan).
 func (s *swarm) cancelPeerFlows(p *peerState) {
 	// Abort this peer's downloads, returning the upload slots it held.
-	// Iterate in sorted key order: map order is randomized and cancellation
-	// order influences event sequencing, which must stay deterministic.
-	for _, idx := range sortedKeys(p.inFlight) {
-		d := p.inFlight[idx]
+	// Segments go in ascending order: cancellation order influences event
+	// sequencing, which must stay deterministic.
+	for idx, d := range p.inFlight {
+		if d == nil {
+			continue
+		}
 		if d.flow != nil { // pending adversary serves have no flow
 			d.flow.Cancel()
 		}
 		d.src.uploads--
 		d.src.uploading[idx]--
-		delete(p.inFlight, idx)
+		p.endDownload(idx)
+		s.syncCand(p, idx)
 	}
 	// Abort uploads served by this peer: every other leecher loses any
 	// in-flight download sourced here and will re-request elsewhere.
@@ -603,16 +638,17 @@ func (s *swarm) cancelUploadsFrom(p *peerState) {
 		if q == p || q.departed {
 			continue
 		}
-		for _, idx := range sortedKeys(q.inFlight) {
-			d := q.inFlight[idx]
-			if d.src == p {
-				if d.flow != nil {
-					d.flow.Cancel()
-				}
-				delete(q.inFlight, idx)
-				p.uploads--
-				p.uploading[idx]--
+		for idx, d := range q.inFlight {
+			if d == nil || d.src != p {
+				continue
 			}
+			if d.flow != nil {
+				d.flow.Cancel()
+			}
+			q.endDownload(idx)
+			s.syncCand(q, idx)
+			p.uploads--
+			p.uploading[idx]--
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // segmentsFor splices the standard test clip and converts to SegmentMeta.
-func segmentsFor(t *testing.T, sp splicer.Splicer, clip time.Duration, seed int64) []SegmentMeta {
+func segmentsFor(t testing.TB, sp splicer.Splicer, clip time.Duration, seed int64) []SegmentMeta {
 	t.Helper()
 	v, err := media.Synthesize(media.DefaultEncoderConfig(), clip, seed)
 	if err != nil {

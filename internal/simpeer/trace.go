@@ -148,7 +148,7 @@ func (s *swarm) onPlayerTransition(p *peerState, tr player.Transition) {
 // timestamp: player transitions surface lazily, so a stall observed
 // after a rejoin may have begun inside the crash window.
 func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inflight, frozen int) {
-	inflight = len(p.inFlight)
+	inflight = p.nInFlight
 	// The peer itself is (or was, at the stall's timestamp) crashed:
 	// the outage is the cause regardless of pool state.
 	if p.crashed || (p.crashes > 0 && at >= p.lastCrashAt && at < p.rejoinedAt) {
@@ -157,7 +157,7 @@ func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inf
 	// The peer's own access link is (or was, at the stall's timestamp)
 	// administratively down: nothing can move whether or not downloads
 	// are in flight.
-	if s.net.LinkIsDown(p.node) ||
+	if p.linkDown ||
 		(p.linkDowns > 0 && at >= p.lastLinkDownAt && at < p.linkUpAt) {
 		return trace.CauseLinkDown, inflight, 0
 	}
@@ -203,7 +203,7 @@ func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inf
 	// serving nothing (stale-have) or a useless trickle (slowloris).
 	pending, trickling := 0, 0
 	for _, d := range p.inFlight {
-		if d.flow == nil {
+		if d != nil && d.flow == nil {
 			pending++
 			if d.pending == fault.AdvSlowloris {
 				trickling++
@@ -218,7 +218,7 @@ func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inf
 	}
 	linkDown := 0
 	for _, d := range p.inFlight {
-		if d.flow == nil {
+		if d == nil || d.flow == nil {
 			continue
 		}
 		if d.flow.Frozen() {
@@ -245,13 +245,12 @@ func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inf
 	// Burst loss: the peer's own access link, or the link of a source
 	// serving one of its in-flight downloads, is (or was, at the stall's
 	// timestamp) in the Gilbert–Elliott bad state — the crushed Mathis
-	// caps, not ordinary congestion, explain the slow flows. The map
-	// iteration order is irrelevant: any match yields the same cause.
+	// caps, not ordinary congestion, explain the slow flows.
 	if s.inBurstWindow(p, at) {
 		return trace.CauseBurstLoss, inflight, 0
 	}
 	for _, d := range p.inFlight {
-		if s.inBurstWindow(d.src, at) {
+		if d != nil && s.inBurstWindow(d.src, at) {
 			return trace.CauseBurstLoss, inflight, 0
 		}
 	}
@@ -260,16 +259,15 @@ func (s *swarm) classifyStall(p *peerState, at time.Duration) (cause string, inf
 
 // allHoldersQuarantined reports whether segment idx has at least one
 // live holder and every live holder was quarantined at the stall's
-// timestamp. Pure reads only (Table.Quarantined never mutates), like
-// the rest of stall attribution.
+// timestamp. Pure reads only, like the rest of stall attribution.
 func (s *swarm) allHoldersQuarantined(p *peerState, idx int, at time.Duration) bool {
 	holders := 0
-	for _, q := range s.peers {
+	for _, q := range s.candidates(idx) {
 		if q == p || q.departed || q.crashed || !q.have[idx] {
 			continue
 		}
 		holders++
-		if !s.rep.Quarantined(q.id, at) {
+		if at >= q.quarUntil {
 			return false
 		}
 	}
@@ -277,13 +275,12 @@ func (s *swarm) allHoldersQuarantined(p *peerState, idx int, at time.Duration) b
 }
 
 // allInFlightSourcesQuarantined reports whether every in-flight
-// download's source was quarantined at the stall's timestamp (map
-// iteration order is irrelevant: boolean AND).
+// download's source was quarantined at the stall's timestamp.
 func (s *swarm) allInFlightSourcesQuarantined(p *peerState, at time.Duration) bool {
 	for _, d := range p.inFlight {
-		if d.src.isCDN || !s.rep.Quarantined(d.src.id, at) {
+		if d != nil && (d.src.isCDN || at >= d.src.quarUntil) {
 			return false
 		}
 	}
-	return len(p.inFlight) > 0
+	return p.nInFlight > 0
 }
